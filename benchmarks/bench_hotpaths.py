@@ -89,7 +89,6 @@ from repro.core.merging import merge_and_update, process_candidate_set
 from repro.core.pruning import prune
 from repro.core.saving import saving, two_hop_roots
 from repro.core.shingles import (
-    ShingleCache,
     dense_subnode_shingles,
     make_hash_function,
     subnode_shingles,
@@ -205,10 +204,6 @@ def seed_best_partner(state: SluggerState, root: int, candidates, height_bound=N
 class SeedState(SluggerState):
     """State with the seed's O(|pn_edges|) bucket scan on every merge."""
 
-    def __init__(self, graph: Graph) -> None:
-        # The seed had no dense substrate; exercise the label paths.
-        super().__init__(graph, build_dense=False)
-
     def _rekey_pn_edges(self, root_a: int, root_b: int, merged: int) -> None:
         affected = [pair for pair in self.pn_edges if root_a in pair or root_b in pair]
         for pair in affected:
@@ -273,8 +268,8 @@ def bench_candidates(graph: Graph, repeats: int) -> Dict[str, float]:
     roots = sorted(state.roots)
     config = SluggerConfig(seed=0)
     before = best_of(repeats, lambda: seed_generate_candidate_sets(graph, hierarchy, roots, config, seed=1))
-    after = best_of(repeats, lambda: generate_candidate_sets(graph, hierarchy, roots, config, seed=1))
-    assert generate_candidate_sets(graph, hierarchy, roots, config, seed=1) == \
+    after = best_of(repeats, lambda: generate_candidate_sets(state.dense, hierarchy, roots, config, seed=1))
+    assert generate_candidate_sets(state.dense, hierarchy, roots, config, seed=1) == \
         seed_generate_candidate_sets(graph, hierarchy, roots, config, seed=1)
     return {"before": before, "after": after}
 
@@ -293,7 +288,8 @@ def bench_merge_sweep(graph: Graph) -> Dict[str, float]:
         rng = ensure_rng(7)
         state = state_class(graph)
         candidate_sets = generate_candidate_sets(
-            graph, state.summary.hierarchy, sorted(state.roots), config, seed=rng.randrange(2**61)
+            state.dense, state.summary.hierarchy, sorted(state.roots), config,
+            seed=rng.randrange(2**61),
         )
         merges = 0
         started = time.perf_counter()
@@ -321,8 +317,8 @@ def seed_full_run(graph: Graph, config: SluggerConfig) -> int:
     """The full SLUGGER driver built from the seed replicas; returns the cost.
 
     Candidate generation, partner search, and the state bookkeeping are
-    the seed's (eager rehash, no short-circuits, bucket scans, label
-    adjacency); the merge re-encoding itself is shared with the current
+    the seed's (eager rehash, no short-circuits, bucket scans); the
+    merge re-encoding on the dense substrate is shared with the current
     implementation, so the measured end-to-end speedup is conservative.
     The RNG protocol matches ``Slugger.summarize`` exactly, so the final
     cost must equal the current implementation's.

@@ -11,7 +11,7 @@ Lazy, cached shingle rounds
 ---------------------------
 Each shingle round only has to split the groups that are still above the
 candidate-size cap, so shingles are computed *lazily* per oversized
-group: one :class:`~repro.core.shingles.ShingleCache` is created per
+group: one :class:`~repro.core.shingles.DenseShingleCache` is created per
 round (keyed by the round's hash-function seed in a per-iteration cache
 dictionary), and only the leaf sets of the roots that still need
 splitting are hashed.  The first round typically covers the whole graph
@@ -25,12 +25,11 @@ work happens, not which shingle values are computed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import SluggerConfig
-from repro.core.shingles import DenseShingleCache, ShingleCache
+from repro.core.shingles import DenseShingleCache
 from repro.graphs.dense import DenseAdjacency
-from repro.graphs.graph import Graph
 from repro.model.hierarchy import Hierarchy
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -38,13 +37,12 @@ __all__ = ["generate_candidate_sets"]
 
 
 def generate_candidate_sets(
-    graph: Graph,
+    dense: DenseAdjacency,
     hierarchy: Hierarchy,
     roots: Sequence[int],
     config: SluggerConfig,
     seed: SeedLike = None,
-    dense: Optional[DenseAdjacency] = None,
-    shingle_caches: Optional[Dict[int, Union[ShingleCache, DenseShingleCache]]] = None,
+    shingle_caches: Optional[Dict[int, DenseShingleCache]] = None,
 ) -> List[List[int]]:
     """Split ``roots`` into candidate sets of at most ``config.max_candidate_size``.
 
@@ -53,11 +51,14 @@ def generate_candidate_sets(
     offer nothing to merge.  A different ``seed`` per iteration varies the
     grouping so more root pairs get considered over time (Sect. III-B2).
 
-    With ``dense`` supplied (the driver passes the state's substrate),
-    the shingle rounds run entirely on integer ids: a leaf root *is* its
-    dense node id, internal roots aggregate over the hierarchy's memoized
-    leaf-id tuples, and per-node storage is list-backed.  The produced
-    candidate sets are bit-identical to the label path for a fixed seed.
+    The shingle rounds run entirely on the integer ids of ``dense`` (the
+    driver passes the state's substrate, whose node ids are the
+    hierarchy's leaf ids): a leaf root *is* its dense node id, internal
+    roots aggregate over the hierarchy's memoized leaf-id tuples, and
+    per-node storage is list-backed.  Shingle values hash the original
+    labels, so the candidate sets match the label-keyed reference
+    (:func:`~repro.core.shingles.subnode_shingles` plus
+    :func:`~repro.core.shingles.root_shingles`) for a fixed seed.
 
     ``shingle_caches`` optionally seeds the per-iteration cache
     dictionary (hash-function seed → cache).  The batch shingle phase
@@ -72,16 +73,14 @@ def generate_candidate_sets(
     # Per-iteration shingle caches, keyed by hash-function seed: every
     # round draws a fresh seed, and all groups split within that round
     # share the round's lazily-filled cache.
-    use_dense = dense is not None
     if shingle_caches is None:
         shingle_caches = {}
     # Leaf lists per root, shared by every round of this call (roots do
     # not change while candidate sets are being generated).  Leaf roots —
     # the entire first iteration, and stragglers later — resolve through
     # a single probe instead.
-    root_leaves: Dict[int, Sequence] = {}
+    root_leaves: Dict[int, Sequence[int]] = {}
     leaf_map = hierarchy.leaf_subnode_map()
-    missing = object()
 
     for _ in range(config.shingle_rounds):
         oversized = [group for group in groups if len(group) > config.max_candidate_size]
@@ -92,9 +91,7 @@ def generate_candidate_sets(
         round_seed = rng.randrange(2**61)
         cache = shingle_caches.get(round_seed)
         if cache is None:
-            cache = (DenseShingleCache(dense, round_seed) if use_dense
-                     else ShingleCache(graph, round_seed))
-            shingle_caches[round_seed] = cache
+            cache = shingle_caches[round_seed] = DenseShingleCache(dense, round_seed)
         if 2 * sum(len(group) for group in oversized) >= len(roots):
             # The round still covers most of the roots (always true for the
             # first round), so its closed neighborhoods touch most of the
@@ -107,23 +104,13 @@ def generate_candidate_sets(
         for group in oversized:
             buckets: Dict[int, List[int]] = {}
             for root in group:
-                if use_dense:
-                    if root in leaf_map:  # A leaf root is its own dense id.
-                        value = shingle_of(root)
-                    else:
-                        leaves = root_leaves.get(root)
-                        if leaves is None:
-                            leaves = root_leaves[root] = hierarchy.leaf_id_view(root)
-                        value = min(map(shingle_of, leaves))
+                if root in leaf_map:  # A leaf root is its own dense id.
+                    value = shingle_of(root)
                 else:
-                    subnode = leaf_map.get(root, missing)
-                    if subnode is not missing:
-                        value = shingle_of(subnode)
-                    else:
-                        leaves = root_leaves.get(root)
-                        if leaves is None:
-                            leaves = root_leaves[root] = hierarchy.leaf_subnodes(root)
-                        value = min(map(shingle_of, leaves))
+                    leaves = root_leaves.get(root)
+                    if leaves is None:
+                        leaves = root_leaves[root] = hierarchy.leaf_id_view(root)
+                    value = min(map(shingle_of, leaves))
                 buckets.setdefault(value, []).append(root)
             if len(buckets) == 1:
                 # The shingle could not separate the group; keep it whole and

@@ -56,13 +56,9 @@ class SluggerConfig:
         after every iteration, verifying the incremental indices (superedge
         counters, adjacency counters, leaf-set cache) against the summary.
         O(|summary|) per iteration — for tests and debugging only.
-    use_dense_substrate:
-        When ``True`` (default) shingle rounds, candidate generation, and
-        the local encoder run on the dense integer-id substrate
-        (:class:`~repro.graphs.dense.DenseAdjacency`) instead of the
-        label-keyed adjacency.  Output is bit-identical either way; the
-        flag exists for the substrate benchmark and as a debugging
-        fallback.
+
+    ``validate_output`` and ``check_invariants`` only check the run; they
+    never change the summary, so summary-cache keys leave them out.
     """
 
     iterations: int = 20
@@ -76,7 +72,6 @@ class SluggerConfig:
     seed: Optional[int] = None
     validate_output: bool = False
     check_invariants: bool = False
-    use_dense_substrate: bool = True
 
     def __post_init__(self) -> None:
         if self.iterations < 1:

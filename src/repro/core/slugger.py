@@ -146,7 +146,6 @@ class IterationContext:
     which keeps every phase independently testable and replaceable.
     """
 
-    graph: Graph
     state: SluggerState
     config: SluggerConfig
     execution: Optional[ExecutionConfig]
@@ -311,7 +310,6 @@ class ShinglePhase:
         if (
             execution is None
             or not execution.parallel
-            or state.dense is None
             or state.dense.num_nodes < execution.shingle_parallel_min_nodes
             or len(state.roots) <= ctx.config.max_candidate_size
             or ctx.config.shingle_rounds < 1
@@ -351,12 +349,11 @@ class GroupPhase:
     def run(self, ctx: IterationContext) -> None:
         state = ctx.state
         ctx.candidate_sets = generate_candidate_sets(
-            ctx.graph,
+            state.dense,
             state.summary.hierarchy,
             sorted(state.roots),
             ctx.config,
             seed=ctx.candidate_seed,
-            dense=state.dense,
             shingle_caches=ctx.shingle_caches,
         )
         rng = ctx.rng
@@ -629,12 +626,10 @@ class Slugger:
         tracer = control.tracer if control is not None else NULL_TRACER
         telemetry = metrics.enabled or tracer.enabled
 
-        use_resources = resources is not None and config.use_dense_substrate
         state = SluggerState(
             graph,
-            build_dense=config.use_dense_substrate,
-            dense=resources.dense() if use_resources else None,
-            csr=resources.csr() if use_resources else None,
+            dense=resources.dense() if resources is not None else None,
+            csr=resources.csr() if resources is not None else None,
         )
         history: List[Dict[str, float]] = []
         phase_seconds: Dict[str, float] = {}
@@ -653,7 +648,6 @@ class Slugger:
 
         if graph.num_edges > 0:
             ctx = IterationContext(
-                graph=graph,
                 state=state,
                 config=config,
                 execution=self.execution,

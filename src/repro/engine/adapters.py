@@ -6,7 +6,9 @@ time, so one configured instance can be reused across graphs and seeds
 (which is exactly how the comparison harness sweeps them).  The wrapped
 functions are called with the same arguments a direct invocation would
 use — registry dispatch and direct calls are bit-identical for a fixed
-seed, which the engine equivalence suite asserts.
+seed, which the engine equivalence suite asserts.  Each adapter
+implements the one :meth:`~repro.engine.base.Summarizer._run` hook and
+forwards the parts of the run surface its method understands.
 """
 
 from __future__ import annotations
@@ -50,15 +52,7 @@ class SluggerSummarizer(Summarizer):
     def __init__(self, **options: Any) -> None:
         self.options = options
 
-    def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        return self._run_with_execution(graph, seed, None)
-
-    def _run_with_execution(
-        self, graph: Graph, seed: SeedLike, execution: Optional[ExecutionConfig]
-    ) -> RunOutput:
-        return self._dispatch(graph, seed, execution, None, None)
-
-    def _dispatch(
+    def _run(
         self,
         graph: Graph,
         seed: SeedLike,
@@ -89,15 +83,7 @@ class SwegSummarizer(Summarizer):
     def __init__(self, **options: Any) -> None:
         self.options = options
 
-    def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        return self._run_with_execution(graph, seed, None)
-
-    def _run_with_execution(
-        self, graph: Graph, seed: SeedLike, execution: Optional[ExecutionConfig]
-    ) -> RunOutput:
-        return self._dispatch(graph, seed, execution, None, None)
-
-    def _dispatch(
+    def _run(
         self,
         graph: Graph,
         seed: SeedLike,
@@ -121,7 +107,7 @@ class MossoSummarizer(Summarizer):
     def __init__(self, **options: Any) -> None:
         self.options = options
 
-    def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
+    def _run(self, graph, seed, execution, control, resources) -> RunOutput:
         summary = mosso_summarize(graph, **{**self.options, "seed": seed})
         return summary, [], {}
 
@@ -135,11 +121,7 @@ class RandomizedSummarizer(Summarizer):
     def __init__(self, **options: Any) -> None:
         self.options = options
 
-    def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        summary = randomized_summarize(graph, seed=seed, **self.options)
-        return summary, [], {}
-
-    def _dispatch(self, graph, seed, execution, control, resources) -> RunOutput:
+    def _run(self, graph, seed, execution, control, resources) -> RunOutput:
         summary = randomized_summarize(
             graph, seed=seed, resources=resources, **self.options
         )
@@ -155,11 +137,7 @@ class SagsSummarizer(Summarizer):
     def __init__(self, **options: Any) -> None:
         self.options = options
 
-    def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        summary = sags_summarize(graph, **{**self.options, "seed": seed})
-        return summary, [], {}
-
-    def _dispatch(self, graph, seed, execution, control, resources) -> RunOutput:
+    def _run(self, graph, seed, execution, control, resources) -> RunOutput:
         summary = sags_summarize(
             graph, resources=resources, **{**self.options, "seed": seed}
         )
@@ -175,10 +153,6 @@ class GreedySummarizer(Summarizer):
     def __init__(self, **options: Any) -> None:
         self.options = options
 
-    def _run(self, graph: Graph, seed: SeedLike) -> RunOutput:
-        summary = greedy_summarize(graph, **self.options)
-        return summary, [], {}
-
-    def _dispatch(self, graph, seed, execution, control, resources) -> RunOutput:
+    def _run(self, graph, seed, execution, control, resources) -> RunOutput:
         summary = greedy_summarize(graph, resources=resources, **self.options)
         return summary, [], {}

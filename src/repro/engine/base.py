@@ -74,9 +74,9 @@ class Summarizer(ABC):
 
     Subclasses set :attr:`name` (the registry key), declare whether they
     honor an ``iterations`` option via :attr:`iteration_controlled`, and
-    implement :meth:`_run`.  Instances are also callable with the legacy
-    ``(graph, seed) -> summary`` signature, so existing code that treats
-    methods as plain functions keeps working.
+    implement the one hook :meth:`_run`, which receives the full run
+    surface — seed, execution, progress/cancel control and shared
+    substrate resources — and may ignore what it does not use.
     """
 
     #: Registry key; subclasses must override.
@@ -98,17 +98,16 @@ class Summarizer(ABC):
     ) -> EngineResult:
         """Run the method on ``graph`` with shared timing bookkeeping.
 
-        ``execution`` is forwarded to parallel-capable methods (see
+        ``execution`` is honored by parallel-capable methods (see
         :attr:`supports_parallel`); for a fixed seed the summary is
         bit-identical regardless of the execution configuration.
         ``control`` (progress/cancel) and ``resources`` (shared
-        substrate views) are honored by methods that override
-        :meth:`_dispatch` — SLUGGER and SWeG — and are inert no-ops for
-        the rest; neither can change the summary.
+        substrate views) are honored by the methods that use them and
+        are inert for the rest; neither can change the summary.
         """
         require_type(graph, Graph, "graph")
         started = time.perf_counter()
-        summary, history, details = self._dispatch(
+        summary, history, details = self._run(
             graph, seed, execution, control, resources
         )
         elapsed = time.perf_counter() - started
@@ -128,21 +127,6 @@ class Summarizer(ABC):
 
     @abstractmethod
     def _run(
-        self, graph: Graph, seed: SeedLike
-    ) -> Tuple[AnySummary, List[Dict[str, float]], Dict[str, Any]]:
-        """Produce ``(summary, history, details)`` for one graph."""
-
-    def _run_with_execution(
-        self, graph: Graph, seed: SeedLike, execution: Optional[ExecutionConfig]
-    ) -> Tuple[AnySummary, List[Dict[str, float]], Dict[str, Any]]:
-        """Execution-aware hook; parallel-capable adapters override this.
-
-        The default ignores ``execution`` so simple methods only have to
-        implement :meth:`_run`.
-        """
-        return self._run(graph, seed)
-
-    def _dispatch(
         self,
         graph: Graph,
         seed: SeedLike,
@@ -150,21 +134,7 @@ class Summarizer(ABC):
         control: Optional[RunControl],
         resources: Optional[GraphResources],
     ) -> Tuple[AnySummary, List[Dict[str, float]], Dict[str, Any]]:
-        """Full-surface hook: execution + progress/cancel + shared substrate.
-
-        The default preserves the historical routing (``execution`` to
-        parallel-capable methods, everything else to :meth:`_run`) and
-        ignores ``control`` and ``resources``, so existing adapters and
-        user subclasses keep working unchanged.  Adapters that support
-        the service hooks override this method.
-        """
-        if self.supports_parallel:
-            return self._run_with_execution(graph, seed, execution)
-        return self._run(graph, seed)
-
-    def __call__(self, graph: Graph, seed: SeedLike = None) -> AnySummary:
-        """Legacy ``MethodFunction`` protocol: return just the summary."""
-        return self.summarize(graph, seed=seed).summary
+        """Produce ``(summary, history, details)`` for one graph."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"

@@ -114,6 +114,8 @@ _HEADER = struct.Struct("<6sHHQQB3xH")
 #: tag, absolute offset, payload length, CRC-32, 4 pad bytes.
 _SECTION = struct.Struct("<4sQQI4x")
 _ALIGNMENT = 8
+#: Largest offset the signed 64-bit ``IPTR`` array can hold.
+_INT64_MAX = (1 << 63) - 1
 
 TAG_INDPTR = b"IPTR"
 TAG_INDICES = b"INDX"
@@ -201,6 +203,8 @@ def decode_indptr(data: bytes, num_nodes: int, num_edges: int) -> "array":
     for node in range(num_nodes + 1):
         delta, position = decode_varint(data, position)
         total += delta
+        if total > _INT64_MAX:
+            raise ContainerFormatError(f"IPTR offset {total} overflows int64")
         indptr[node] = total
     if position != len(data):
         raise ContainerFormatError(

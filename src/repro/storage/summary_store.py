@@ -150,7 +150,9 @@ def config_fingerprint(method: str, options: Optional[Dict[str, Any]] = None) ->
     :class:`~repro.core.config.SluggerConfig` first, so ``{}`` and an
     explicit ``{"iterations": 20}`` (the default) produce the *same*
     fingerprint — equal effective configs share one cache slot.  The
-    seed is keyed separately and never part of the config digest.
+    seed is keyed separately and never part of the config digest, and
+    neither are SLUGGER's ``validate_output``/``check_invariants``: they
+    check a run without changing its summary.
     """
     payload: Dict[str, Any] = dict(options or {})
     payload.pop("seed", None)
@@ -160,7 +162,8 @@ def config_fingerprint(method: str, options: Optional[Dict[str, Any]] = None) ->
         from repro.core.config import SluggerConfig
 
         payload = asdict(SluggerConfig(**payload))
-        payload.pop("seed", None)
+        for key in ("seed", "validate_output", "check_invariants"):
+            payload.pop(key)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return digest, canonical
@@ -279,16 +282,19 @@ def _decode_meta(data: bytes) -> SummaryMeta:
     if pos != len(data):
         raise ContainerFormatError("trailing bytes after summary metadata")
     try:
+        method = method_bytes.decode("utf-8")
+        config_json = config_bytes.decode("utf-8")
         extra = json.loads(extra_bytes.decode("utf-8")) if extra_bytes else {}
     except ValueError as error:
-        raise ContainerFormatError(f"corrupt summary metadata JSON: {error}") from None
+        # UnicodeDecodeError is a ValueError too.
+        raise ContainerFormatError(f"corrupt summary metadata: {error}") from None
     return SummaryMeta(
         kind="hierarchical" if kind_byte == _KIND_HIERARCHICAL else "flat",
-        method=method_bytes.decode("utf-8"),
+        method=method,
         seed=seed,
         graph_digest=graph_digest,
         config_digest=config_digest,
-        config_json=config_bytes.decode("utf-8"),
+        config_json=config_json,
         extra=extra,
     )
 

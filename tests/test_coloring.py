@@ -62,12 +62,11 @@ def sparsely_connected():
 def candidate_groups(graph, seed=0):
     state = SluggerState(graph)
     groups = generate_candidate_sets(
-        graph,
+        state.dense,
         state.summary.hierarchy,
         sorted(state.roots),
         SluggerConfig(iterations=3, seed=seed),
         seed=seed,
-        dense=state.dense,
     )
     return state, groups
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.shingles import (
     DenseShingleCache,
-    ShingleCache,
     dense_subnode_shingles,
     make_hash_function,
     subnode_shingles,
@@ -161,14 +160,14 @@ class TestDenseShingles:
         full = bulk.ensure_shingles()
         assert [lazy.shingle(i) for i in range(dense.num_nodes)] == list(full)
 
-    def test_dense_cache_matches_label_cache(self):
+    def test_dense_cache_matches_label_reference(self):
         graph = Graph(edges=[("x", "y"), ("y", "z"), ("x", "w")])
         dense = DenseAdjacency.from_graph(graph)
         labels = dense.index.labels()
-        label_cache = ShingleCache(graph, seed=11)
+        reference = subnode_shingles(graph, make_hash_function(11))
         dense_cache = DenseShingleCache(dense, seed=11)
         for node_id, label in enumerate(labels):
-            assert dense_cache.shingle(node_id) == label_cache.shingle(label)
+            assert dense_cache.shingle(node_id) == reference[label]
 
 
 class TestStateSubstrate:
@@ -177,9 +176,3 @@ class TestStateSubstrate:
         state = SluggerState(graph)
         assert state.dense is not None
         state.check_consistency()  # includes the dense id == leaf id check
-
-    def test_label_fallback_state_has_no_dense(self):
-        graph = caveman_graph(2, 4, seed=0)
-        state = SluggerState(graph, build_dense=False)
-        assert state.dense is None
-        state.check_consistency()

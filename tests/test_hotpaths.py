@@ -65,7 +65,7 @@ class TestLazyCandidatesEquivalence:
         state = SluggerState(graph)
         config = SluggerConfig(max_candidate_size=10, seed=0)
         roots = sorted(state.roots)
-        lazy = generate_candidate_sets(graph, state.summary.hierarchy, roots, config, seed=seed)
+        lazy = generate_candidate_sets(state.dense, state.summary.hierarchy, roots, config, seed=seed)
         eager = eager_generate_candidate_sets(graph, state.summary.hierarchy, roots, config, seed=seed)
         assert lazy == eager
 
@@ -79,7 +79,7 @@ class TestLazyCandidatesEquivalence:
         config = SluggerConfig(max_candidate_size=4, seed=0)
         roots = sorted(state.roots)
         for seed in (3, 11):
-            lazy = generate_candidate_sets(graph, hierarchy, roots, config, seed=seed)
+            lazy = generate_candidate_sets(state.dense, hierarchy, roots, config, seed=seed)
             eager = eager_generate_candidate_sets(graph, hierarchy, roots, config, seed=seed)
             assert lazy == eager
 

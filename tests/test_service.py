@@ -83,7 +83,7 @@ class _GatedSummarizer(engine.Summarizer):
     #: Seeds in the order their runs started.
     started = []
 
-    def _run(self, graph, seed):
+    def _run(self, graph, seed, execution, control, resources):
         type(self).started.append(seed)
         gate = type(self).gates.get(seed)
         if gate is not None:

@@ -9,7 +9,7 @@ from repro.core.candidates import generate_candidate_sets
 from repro.core.config import SluggerConfig as Config
 from repro.core.merging import merge_and_update, process_candidate_set
 from repro.core.shingles import (
-    ShingleCache,
+    DenseShingleCache,
     make_hash_function,
     root_shingles,
     subnode_shingles,
@@ -101,28 +101,22 @@ class TestShingles:
 
     def test_shingle_cache_matches_eager_computation(self):
         graph = erdos_renyi_graph(50, 0.15, seed=9)
+        state = SluggerState(graph)
+        labels = state.dense.index.labels()
         eager = subnode_shingles(graph, make_hash_function(13))
-        lazy = ShingleCache(graph, 13)
-        assert all(lazy.shingle(node) == eager[node] for node in graph.nodes())
-        bulk = ShingleCache(graph, 13)
-        assert bulk.ensure_shingles() == eager
-
-    def test_shingle_cache_is_lazy(self):
-        graph = erdos_renyi_graph(50, 0.1, seed=9)
-        cache = ShingleCache(graph, 13)
-        node = graph.nodes()[0]
-        cache.shingle(node)
-        # Only the requested closed neighborhood was hashed.
-        assert len(cache._values) <= graph.degree(node) + 1
+        lazy = DenseShingleCache(state.dense, 13)
+        assert all(lazy.shingle(node) == eager[label] for node, label in enumerate(labels))
+        bulk = DenseShingleCache(state.dense, 13)
+        assert bulk.ensure_shingles() == [eager[label] for label in labels]
 
     def test_shingle_cache_agrees_with_root_shingles_on_merged_roots(self):
         graph = complete_graph(4)
         state = SluggerState(graph)
         hierarchy = state.summary.hierarchy
         merged = state.merge_roots(hierarchy.leaf_of(2), hierarchy.leaf_of(3))
-        cache = ShingleCache(graph, 2)
+        cache = DenseShingleCache(state.dense, 2)
         eager = root_shingles([merged], hierarchy, subnode_shingles(graph, make_hash_function(2)))
-        lazy = min(cache.shingle(subnode) for subnode in hierarchy.leaf_subnodes(merged))
+        lazy = min(cache.shingle(leaf) for leaf in hierarchy.leaf_id_view(merged))
         assert lazy == eager[merged]
 
 
@@ -132,7 +126,7 @@ class TestCandidates:
         state = SluggerState(graph)
         config = SluggerConfig(max_candidate_size=10, seed=0)
         candidate_sets = generate_candidate_sets(
-            graph, state.summary.hierarchy, sorted(state.roots), config, seed=1
+            state.dense, state.summary.hierarchy, sorted(state.roots), config, seed=1
         )
         seen = [root for candidate_set in candidate_sets for root in candidate_set]
         assert len(seen) == len(set(seen))
@@ -145,7 +139,7 @@ class TestCandidates:
         state = SluggerState(graph)
         config = SluggerConfig(max_candidate_size=10, seed=0)
         candidate_sets = generate_candidate_sets(
-            graph, state.summary.hierarchy, sorted(state.roots), config, seed=2
+            state.dense, state.summary.hierarchy, sorted(state.roots), config, seed=2
         )
         assert len(candidate_sets) == 1
         assert len(candidate_sets[0]) == 5
@@ -154,8 +148,8 @@ class TestCandidates:
         graph = erdos_renyi_graph(50, 0.1, seed=3)
         state = SluggerState(graph)
         config = SluggerConfig(max_candidate_size=8, seed=0)
-        first = generate_candidate_sets(graph, state.summary.hierarchy, sorted(state.roots), config, seed=7)
-        second = generate_candidate_sets(graph, state.summary.hierarchy, sorted(state.roots), config, seed=7)
+        first = generate_candidate_sets(state.dense, state.summary.hierarchy, sorted(state.roots), config, seed=7)
+        second = generate_candidate_sets(state.dense, state.summary.hierarchy, sorted(state.roots), config, seed=7)
         assert first == second
 
 

@@ -39,6 +39,7 @@ from repro.service.store import GraphStore
 from repro.storage.cache import GraphCache, file_digest
 from repro.storage.format import (
     container_digest,
+    decode_indptr,
     decode_varint,
     encode_varint,
     index_width_for,
@@ -130,6 +131,15 @@ class TestFormatPrimitives:
         encode_varint(300, out)
         with pytest.raises(ContainerFormatError):
             decode_varint(bytes(out[:-1]), 0)
+
+    def test_indptr_offset_past_int64_is_rejected(self):
+        # One huge varint delta must surface as a format error, not as
+        # the OverflowError of the signed 64-bit offset array.
+        out = bytearray()
+        encode_varint(0, out)
+        encode_varint(1 << 70, out)
+        with pytest.raises(ContainerFormatError, match="overflows int64"):
+            decode_indptr(bytes(out), 1, 0)
 
     @pytest.mark.parametrize("nodes,width", [
         (0, 1), (1, 1), (256, 1), (257, 2), (2**16, 2), (2**16 + 1, 4),

@@ -174,6 +174,15 @@ class TestSummaryKeying:
         digest_b, _ = config_fingerprint("slugger", {"iterations": 5, "seed": 9})
         assert digest_a == digest_b
 
+    @pytest.mark.parametrize("check", ["validate_output", "check_invariants"])
+    def test_run_checks_are_excluded_from_the_config_digest(self, check):
+        # Checks verify a run without changing its summary, so a checked
+        # request must hit the cache entry of the unchecked one.
+        plain = config_fingerprint("slugger", {"iterations": 5})
+        checked = config_fingerprint("slugger", {"iterations": 5, check: True})
+        assert checked == plain
+        assert check not in plain[1]
+
     def test_summary_key_separates_every_coordinate(self):
         base = summary_key("g" * 64, "slugger", 0, "c" * 64)
         assert summary_key("h" * 64, "slugger", 0, "c" * 64) != base
@@ -373,6 +382,32 @@ class TestCorruption:
             encode_container(csr, extra_sections=skewed, extra_flags=FLAG_SUMMARY),
         )
         with pytest.raises(ContainerFormatError, match="unsupported summary section"):
+            load_summary(path)
+
+    @pytest.mark.parametrize("field", ["method", "config_json"])
+    def test_non_utf8_meta_text_is_rejected(self, tmp_path, field):
+        graph = int_fixture()
+        csr = frozen_csr(graph)
+        result = summarize(graph, iterations=3)
+        meta = meta_for(graph, csr, result, iterations=3)
+        text = getattr(meta, field).encode("utf-8")
+        mangled = []
+        for tag, payload in encode_summary_sections(result.summary, meta):
+            if tag == TAG_SUMMARY_META:
+                # Overwrite the field's first byte with one that can
+                # never start a UTF-8 sequence (the container CRC is
+                # recomputed, so only the decoder can catch it).
+                start = payload.index(text)
+                payload = payload[:start] + b"\xff" + payload[start + 1:]
+            mangled.append((tag, payload))
+        path = tmp_path / "mangled.slg"
+        write_container_image(
+            path,
+            encode_container(csr, extra_sections=mangled, extra_flags=FLAG_SUMMARY),
+        )
+        with pytest.raises(ContainerFormatError, match="corrupt summary metadata"):
+            read_summary_meta(path)
+        with pytest.raises(ContainerFormatError, match="corrupt summary metadata"):
             load_summary(path)
 
     def test_missing_section_is_rejected(self, tmp_path):
